@@ -39,7 +39,7 @@ import pickle
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import ConfigError
 
@@ -269,9 +269,8 @@ class DetectionCache:
 
         ``scope`` restricts the copy to one detector's keys (see
         :attr:`scoped`). Like :meth:`__contains__`, reading a snapshot
-        never perturbs the hit/miss statistics, so persistence layers —
-        :meth:`save`, the repository index's detection-row harvest — can
-        export entries without skewing effectiveness numbers.
+        never perturbs the hit/miss statistics, so :meth:`save` can export
+        entries without skewing effectiveness numbers.
         """
         with self._lock:
             items = list(self._store.items())
@@ -282,6 +281,33 @@ class DetectionCache:
             for key, value in items
             if self._scope_of(key) == scope
         }
+
+    def harvest(
+        self,
+        scope: str,
+        frames: Iterable[Tuple[int, int]],
+        class_filters: Sequence[Optional[str]],
+    ) -> "Dict[CacheKey, List[object]]":
+        """The stored rows of some frames, looked up directly.
+
+        Returns every entry keyed ``(scope, video, frame, class_filter)``
+        for the given ``(video, frame)`` pairs and class filters — what
+        ``snapshot(scope)`` filtered to those frames would hold for them,
+        at ``len(frames) * len(class_filters)`` lookups instead of a copy
+        of the whole store. Counter-free like :meth:`snapshot` and
+        leaves LRU recency alone, so the repository-index recorder can
+        harvest a finished query's frames without skewing statistics.
+        """
+        found = {}
+        with self._lock:
+            store = self._store
+            for video, frame in frames:
+                for class_filter in class_filters:
+                    key = (scope, video, frame, class_filter)
+                    value = store.get(key)
+                    if value is not None:
+                        found[key] = list(value)
+        return found
 
     # -- explicit on-disk persistence ----------------------------------------
 

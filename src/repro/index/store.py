@@ -26,9 +26,9 @@ structurally unreachable:
 On-disk layout — built for concurrent writers::
 
     index_dir/
-      segments/seg-<pid>-<uuid>.bin   # one append-only record per session
-      compacted.bin                   # merged segments (repro index vacuum)
-      vacuum.lock                     # advisory lock held during vacuum
+      segments/seg-<ns>-<pid>-<uuid>.bin  # one append-only record per session
+      compacted.bin                       # merged segments (repro index vacuum)
+      vacuum.lock                         # advisory lock held during vacuum
 
 Each file is a digest-checked envelope in the PR 6 checkpoint style
 (``{"version", "meta", "digest": blake2b(payload), "payload"}``). Writers
@@ -55,6 +55,7 @@ import hashlib
 import logging
 import os
 import pickle
+import threading
 import time
 import uuid
 from dataclasses import dataclass
@@ -226,6 +227,14 @@ class _MergedState:
             self.outcomes.setdefault(digest, outcome)
 
 
+def _scopes_of(state: _MergedState) -> Tuple[str, ...]:
+    """Every detector scope with knowledge in a merged state, sorted."""
+    found = set(state.detections)
+    found.update(key[0] for key in state.counts)
+    found.update(record.get("scope", "") for record in state.outcomes.values())
+    return tuple(sorted(s for s in found if s))
+
+
 class RepositoryIndex:
     """On-disk cross-query knowledge for one repository (see module docs).
 
@@ -240,6 +249,9 @@ class RepositoryIndex:
         self.path = str(path)
         self._cache_sig: Optional[tuple] = None
         self._cache_state: Optional[_MergedState] = None
+        # Reads fold new segments into the memoised merge in place; one
+        # handle shared by threads serialises that behind this lock.
+        self._lock = threading.RLock()
         os.makedirs(os.path.join(self.path, _SEGMENT_DIR), exist_ok=True)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -254,6 +266,7 @@ class RepositoryIndex:
         self.path = state["path"]
         self._cache_sig = None
         self._cache_state = None
+        self._lock = threading.RLock()
         os.makedirs(os.path.join(self.path, _SEGMENT_DIR), exist_ok=True)
 
     # -- low-level file handling ---------------------------------------------
@@ -275,6 +288,17 @@ class RepositoryIndex:
             if name.endswith(".bin")
         )
         return files
+
+    def _signature(self) -> Tuple[Tuple[str, int, int], ...]:
+        """``(path, mtime_ns, size)`` of every store file, in merge order."""
+        sig = []
+        for path in self._files():
+            try:
+                stat = os.stat(path)
+                sig.append((path, stat.st_mtime_ns, stat.st_size))
+            except OSError:
+                sig.append((path, 0, 0))
+        return tuple(sig)
 
     @staticmethod
     def _write_envelope(path: str, record: dict, meta: dict) -> None:
@@ -335,21 +359,39 @@ class RepositoryIndex:
             return None
         return record
 
-    def _load(self) -> _MergedState:
-        """Merge every readable store file, memoised on the dir listing."""
-        files = self._files()
-        sig = []
-        for path in files:
-            try:
-                stat = os.stat(path)
-                sig.append((path, stat.st_mtime_ns, stat.st_size))
-            except OSError:
-                sig.append((path, 0, 0))
-        signature = tuple(sig)
-        if self._cache_sig == signature and self._cache_state is not None:
-            return self._cache_state
-        state = _MergedState()
-        for path in files:
+    def _load(
+        self, signature: Optional[Tuple[Tuple[str, int, int], ...]] = None
+    ) -> _MergedState:
+        """Merge every readable store file, memoised on the dir listing.
+
+        Segments are append-only and their names sort in write order, so
+        the common change between two reads is new files at the end of
+        the listing. When the memoised signature is a strict prefix of
+        the current one, only the appended files are decoded and folded
+        into the memoised state; first-merged-wins order, digest checks
+        and the skipped-file count come out exactly as a full merge gives
+        them. Any other change — a file vanished or changed, a new name
+        sorts before a folded one (a concurrent writer, a clock step),
+        ``compacted.bin`` appeared — re-merges from scratch. Callers
+        hold ``self._lock`` while they use the returned state.
+        """
+        if signature is None:
+            signature = self._signature()
+        cached = self._cache_sig
+        state = self._cache_state
+        if cached == signature and state is not None:
+            return state
+        if (
+            state is None
+            or cached is None
+            or signature[: len(cached)] != cached
+        ):
+            state = _MergedState()
+            cached = ()
+        # Folding mutates the memoised state in place: drop the memo first
+        # so a record that fails mid-fold forces a full re-merge next read.
+        self._cache_sig = self._cache_state = None
+        for path, _, _ in signature[len(cached):]:
             record = self._read_envelope(path)
             if record is None:
                 if os.path.exists(path):
@@ -435,20 +477,23 @@ class RepositoryIndex:
         detector seed, different chunking), which simply resolves to a
         different key.
         """
-        entry = self._load().counts.get((scope, class_name, chunk_sig))
-        if entry is None or int(entry[0].sum()) == 0:
-            return None
-        return entry[0].copy(), entry[1].copy()
+        with self._lock:
+            entry = self._load().counts.get((scope, class_name, chunk_sig))
+            if entry is None or int(entry[0].sum()) == 0:
+                return None
+            return entry[0].copy(), entry[1].copy()
 
     def outcome_for(self, query_digest: str) -> Optional[dict]:
         """The recorded outcome record for a canonical query digest."""
-        record = self._load().outcomes.get(query_digest)
-        return dict(record) if record is not None else None
+        with self._lock:
+            record = self._load().outcomes.get(query_digest)
+            return dict(record) if record is not None else None
 
     def detections_for(self, scope: str) -> Dict[tuple, list]:
         """All recorded detection rows for one detector scope."""
-        rows = self._load().detections.get(scope, {})
-        return {key: list(value) for key, value in rows.items()}
+        with self._lock:
+            rows = self._load().detections.get(scope, {})
+            return {key: list(value) for key, value in rows.items()}
 
     def preload_cache(self, detector) -> int:
         """Load this detector's recorded detection rows into its cache.
@@ -462,66 +507,59 @@ class RepositoryIndex:
         """
         cache = getattr(detector, "cache", None)
         scope = detector.cache_scope()
-        state = self._load()
-        rows = state.detections.get(scope, {})
-        if not rows:
-            known = self.scopes()
-            if known and scope not in known:
-                logger.warning(
-                    "repository index at %s holds knowledge for scope(s) "
-                    "%s but this detector's scope is %s…; the world, seed "
-                    "or detector profile changed since the index was built "
-                    "— ignoring the index for this engine",
-                    self.path,
-                    [s[:12] + "…" for s in sorted(known)],
-                    scope[:12],
-                )
-            return 0
-        if cache is None or not getattr(cache, "scoped", False):
-            return 0
-        for key, detections in rows.items():
-            cache.put((scope,) + key, detections)
-        return len(rows)
+        with self._lock:
+            state = self._load()
+            rows = state.detections.get(scope, {})
+            if not rows:
+                known = _scopes_of(state)
+                if known and scope not in known:
+                    logger.warning(
+                        "repository index at %s holds knowledge for "
+                        "scope(s) %s but this detector's scope is %s…; the "
+                        "world, seed or detector profile changed since the "
+                        "index was built — ignoring the index for this "
+                        "engine",
+                        self.path,
+                        [s[:12] + "…" for s in sorted(known)],
+                        scope[:12],
+                    )
+                return 0
+            if cache is None or not getattr(cache, "scoped", False):
+                return 0
+            for key, detections in rows.items():
+                cache.put((scope,) + key, detections)
+            return len(rows)
 
     def scopes(self) -> Tuple[str, ...]:
         """Every detector scope with recorded knowledge, sorted."""
-        state = self._load()
-        found = set(state.detections)
-        found.update(key[0] for key in state.counts)
-        found.update(
-            record.get("scope", "") for record in state.outcomes.values()
-        )
-        return tuple(sorted(s for s in found if s))
+        with self._lock:
+            return _scopes_of(self._load())
 
     # -- maintenance ---------------------------------------------------------
 
     def stats(self) -> IndexStats:
-        files = self._files()
-        state = self._load()
-        total_bytes = 0
-        for path in files:
-            try:
-                total_bytes += os.stat(path).st_size
-            except OSError:  # pragma: no cover - raced deletion
-                pass
-        return IndexStats(
-            path=self.path,
-            segment_files=sum(
-                1 for f in files if os.sep + _SEGMENT_DIR + os.sep in f
-            ),
-            compacted=any(f.endswith(_COMPACTED) for f in files),
-            total_bytes=total_bytes,
-            detection_rows=sum(
-                len(rows) for rows in state.detections.values()
-            ),
-            count_keys=len(state.counts),
-            total_samples=int(
-                sum(int(entry[0].sum()) for entry in state.counts.values())
-            ),
-            outcomes=len(state.outcomes),
-            scopes=self.scopes(),
-            skipped_files=state.skipped,
-        )
+        with self._lock:
+            signature = self._signature()
+            state = self._load(signature)
+            paths = [path for path, _, _ in signature]
+            return IndexStats(
+                path=self.path,
+                segment_files=sum(
+                    1 for f in paths if os.sep + _SEGMENT_DIR + os.sep in f
+                ),
+                compacted=any(f.endswith(_COMPACTED) for f in paths),
+                total_bytes=sum(size for _, _, size in signature),
+                detection_rows=sum(
+                    len(rows) for rows in state.detections.values()
+                ),
+                count_keys=len(state.counts),
+                total_samples=int(
+                    sum(int(entry[0].sum()) for entry in state.counts.values())
+                ),
+                outcomes=len(state.outcomes),
+                scopes=_scopes_of(state),
+                skipped_files=state.skipped,
+            )
 
     def vacuum(self) -> IndexStats:
         """Fold every segment into ``compacted.bin`` (advisory-locked).
@@ -543,29 +581,29 @@ class RepositoryIndex:
         try:
             os.write(fd, str(os.getpid()).encode())
             os.close(fd)
-            merged_files = self._files()
-            state = _MergedState()
-            for path in merged_files:
-                record = self._read_envelope(path)
-                if record is not None:
-                    state.fold(record)
-            record = {
-                "detections": state.detections,
-                "counts": {
-                    key: {"n": entry[0], "n1": entry[1]}
-                    for key, entry in state.counts.items()
-                },
-                "outcomes": state.outcomes,
-            }
-            self._write_envelope(
-                os.path.join(self.path, _COMPACTED),
-                record,
-                meta={
-                    "merged_files": len(merged_files),
-                    "outcomes": len(state.outcomes),
-                    "count_keys": len(state.counts),
-                },
-            )
+            with self._lock:
+                signature = self._signature()
+                merged_files = [path for path, _, _ in signature]
+                state = self._load(signature)
+                record = {
+                    "detections": state.detections,
+                    "counts": {
+                        key: {"n": entry[0], "n1": entry[1]}
+                        for key, entry in state.counts.items()
+                    },
+                    "outcomes": state.outcomes,
+                }
+                self._write_envelope(
+                    os.path.join(self.path, _COMPACTED),
+                    record,
+                    meta={
+                        "merged_files": len(merged_files),
+                        "outcomes": len(state.outcomes),
+                        "count_keys": len(state.counts),
+                    },
+                )
+                self._cache_sig = None
+                self._cache_state = None
             for path in merged_files:
                 if path.endswith(_COMPACTED):
                     continue
@@ -578,8 +616,6 @@ class RepositoryIndex:
                 os.remove(lock_path)
             except OSError:  # pragma: no cover - lock vanished
                 pass
-        self._cache_sig = None
-        self._cache_state = None
         return self.stats()
 
 

@@ -364,8 +364,9 @@ class SharedDetectionCache(DetectionCache):
 
         Fetched key by key so only the requested scope's blobs cross the
         manager connection; counter rows (process bookkeeping in the same
-        store) are excluded. Pays one IPC round-trip per entry — callers
-        like the repository-index recorder restrict to one scope.
+        store) are excluded. Pays one IPC round-trip per entry, so it
+        suits whole-store exports such as :meth:`save`; callers that know
+        which frames they want use :meth:`harvest`.
         """
         entries = {}
         for key in self._store.keys():
@@ -377,6 +378,22 @@ class SharedDetectionCache(DetectionCache):
             if blob is not None:
                 entries[key] = pickle.loads(blob)
         return entries
+
+    def harvest(self, scope, frames, class_filters):
+        """The stored rows of some frames (see the base class).
+
+        One ``get`` round-trip per candidate key — frames times class
+        filters — however many entries the shared store holds.
+        """
+        found = {}
+        store = self._store
+        for video, frame in frames:
+            for class_filter in class_filters:
+                key = (scope, video, frame, class_filter)
+                blob = store.get(key)
+                if blob is not None:
+                    found[key] = pickle.loads(blob)
+        return found
 
     def info(self) -> CacheInfo:
         return CacheInfo(

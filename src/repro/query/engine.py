@@ -452,6 +452,9 @@ class QueryEngine:
         chunk_map = self.dataset.chunk_map
         num_chunks = int(chunk_map.sizes().size)
         class_name = session.query.class_name
+        # Every class filter this engine's detector is called with: its
+        # environments filter by a dataset class, other callers by none.
+        class_filters = (None, *self.dataset.classes)
 
         def _record(sess: QuerySession) -> None:
             trace = sess.trace()
@@ -460,16 +463,19 @@ class QueryEngine:
             if (
                 cache is not None
                 and getattr(cache, "scoped", False)
-                and hasattr(cache, "snapshot")
+                and hasattr(cache, "harvest")
                 and trace.chunks.size
             ):
                 videos, vframes = chunk_map.to_video_frame_batch(
                     trace.chunks, trace.frames
                 )
-                wanted = set(zip(videos.tolist(), vframes.tolist(), strict=True))
-                for key, dets in cache.snapshot(scope).items():
-                    if (key[1], key[2]) in wanted:
-                        detections[key[1:]] = dets
+                frames = dict.fromkeys(
+                    zip(videos.tolist(), vframes.tolist(), strict=True)
+                )
+                for key, dets in cache.harvest(
+                    scope, frames, class_filters
+                ).items():
+                    detections[key[1:]] = dets
             blob = pickle.dumps(
                 sess.outcome(), protocol=pickle.HIGHEST_PROTOCOL
             )

@@ -433,3 +433,79 @@ class TestSnapshotPersistence:
         loaded = DetectionCache.load(path)
         assert (loaded.policy, loaded.capacity) == ("lru", 7)
         assert len(loaded) == 1
+
+
+def _reference_harvest(cache, scope, frames):
+    """The recorder's former harvest: a whole-scope snapshot filtered to
+    the wanted ``(video, frame)`` pairs."""
+    wanted = set(frames)
+    return {
+        key: rows
+        for key, rows in cache.snapshot(scope).items()
+        if (key[1], key[2]) in wanted
+    }
+
+
+@pytest.fixture(params=["unbounded", "lru", "shared"])
+def any_cache(request):
+    if request.param == "shared":
+        from repro.parallel.shm import SharedDetectionCache
+
+        cache = SharedDetectionCache()
+        yield cache
+        cache.clear()
+    else:
+        yield DetectionCache(policy=request.param, capacity=64)
+
+
+class TestHarvest:
+    """harvest(): direct per-frame lookups return what the snapshot-and-
+    filter harvest returned, at frames x classes cost, counter-free."""
+
+    def _populate(self, cache):
+        cache.put(("s1", 0, 1, None), ["a-none"])
+        cache.put(("s1", 0, 1, "car"), ["a-car"])
+        cache.put(("s1", 0, 1, "bus"), ["a-bus"])
+        cache.put(("s1", 0, 2, "car"), [])  # an empty row is still a row
+        cache.put(("s1", 1, 1, "bus"), ["b-bus"])
+        cache.put(("s1", 3, 3, "car"), ["not wanted"])
+        cache.put(("s2", 0, 1, None), ["foreign"])
+        cache.put(("s2", 1, 1, "bus"), ["foreign"])
+
+    def test_matches_snapshot_harvest(self, any_cache):
+        self._populate(any_cache)
+        frames = [(0, 1), (0, 2), (1, 1), (5, 5)]
+        got = any_cache.harvest("s1", frames, (None, "car", "bus"))
+        want = _reference_harvest(any_cache, "s1", frames)
+        assert got == want
+        assert set(got) == {
+            ("s1", 0, 1, None), ("s1", 0, 1, "car"), ("s1", 0, 1, "bus"),
+            ("s1", 0, 2, "car"), ("s1", 1, 1, "bus"),
+        }
+        assert all(key[0] == "s1" for key in got)
+
+    def test_counter_free(self, any_cache):
+        self._populate(any_cache)
+        any_cache.get(("s1", 0, 1, "car"))
+        any_cache.get(("s1", 9, 9, "car"))
+        before = any_cache.info()
+        any_cache.harvest("s1", [(0, 1), (9, 9)], (None, "car", "bus"))
+        assert any_cache.info() == before
+
+    def test_returns_copies(self, any_cache):
+        self._populate(any_cache)
+        got = any_cache.harvest("s1", [(0, 1)], ("car",))
+        got[("s1", 0, 1, "car")].append("mutated")
+        assert any_cache.harvest("s1", [(0, 1)], ("car",)) == {
+            ("s1", 0, 1, "car"): ["a-car"]
+        }
+
+    def test_leaves_lru_recency_alone(self):
+        cache = DetectionCache(policy="lru", capacity=3)
+        for frame in range(3):
+            cache.put(("s", 0, frame, None), [frame])
+        cache.harvest("s", [(0, 0)], (None,))
+        cache.put(("s", 0, 3, None), [3])  # evicts the least recent: frame 0
+        assert list(cache.snapshot()) == [
+            ("s", 0, 1, None), ("s", 0, 2, None), ("s", 0, 3, None)
+        ]

@@ -5,6 +5,8 @@ The acceptance bar, layer by layer:
 * the store itself — digest-checked segments, count aggregation across
   records, corrupted-file resilience, vacuum compaction under an advisory
   lock, path-only pickling;
+* incremental reads — a long-lived handle decodes only appended segments
+  and always reads what a freshly opened handle reads;
 * engine integration — completed sessions record their knowledge, exact
   repeats short-circuit to the recorded outcome with **zero** detector
   calls, non-repeats warm-start from aggregated per-chunk counts;
@@ -18,12 +20,19 @@ The acceptance bar, layer by layer:
 import logging
 import os
 import pickle
+import sys
+import tempfile
+import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import ExSampleConfig
 from repro.core.sampler import SearchTrace
+from repro.detection.cache import DetectionCache
 from repro.errors import ConfigError
 from repro.index import (
     INDEX_VERSION,
@@ -256,6 +265,275 @@ class TestStore:
 
 
 # ---------------------------------------------------------------------------
+# Incremental merge: a long-lived handle folds only appended segments, and
+# reads exactly what a freshly opened handle reads.
+# ---------------------------------------------------------------------------
+
+_SCOPES = ("s1", "s2")
+_CLASSES = ("car", "bus")
+_DIGESTS = ("q0", "q1", "q2")
+
+
+def _record(index, tag: int) -> str:
+    """Record one segment whose content depends on ``tag``.
+
+    Detection rows and outcome digests collide across tags on purpose, so
+    first-merged-wins order shows in what a read returns.
+    """
+    return index.record_session(
+        scope=_SCOPES[tag % 2],
+        class_name=_CLASSES[(tag // 2) % 2],
+        chunk_sig="c",
+        num_chunks=3,
+        trace=_trace([tag % 3, (tag + 1) % 3], d0s=[tag % 4, 1], d1s=[0, tag % 2]),
+        query_digest=_DIGESTS[tag % 3],
+        outcome_blob=f"blob-{tag}".encode(),
+        reason="result_limit",
+        detections={(0, tag % 5, None): [f"row-{tag}"], (1, 2, "car"): [tag]},
+    )
+
+
+def _segments(path) -> list:
+    seg_dir = os.path.join(path, "segments")
+    return sorted(os.path.join(seg_dir, name) for name in os.listdir(seg_dir))
+
+
+def _record_early(index, tag: int) -> str:
+    """Record a segment named to sort before every existing segment, as a
+    concurrent writer with a lagging clock would."""
+    path = _record(index, tag)
+    early = os.path.join(
+        os.path.dirname(path), f"seg-{tag:020d}-0-early{tag:03d}.bin"
+    )
+    os.rename(path, early)
+    return early
+
+
+def _rewrite(path, tag: int) -> None:
+    """Replace a store file with another valid record of a different size.
+
+    Memo signatures compare ``(mtime, size)``; changing the size keeps the
+    check independent of the file system's timestamp granularity.
+    """
+    size = os.path.getsize(path)
+    record = {
+        "counts": {("s1", "car", "c"): {"n": np.array([tag, 0, 1]),
+                                        "n1": np.array([1.0, 0.0, 0.0])}},
+        "detections": {"s2": {(0, tag % 5, None): [f"rewritten-{tag}"]}},
+        "outcomes": {},
+    }
+    pad = ""
+    while True:
+        RepositoryIndex._write_envelope(path, record, meta={"pad": pad})
+        if os.path.getsize(path) != size:
+            return
+        pad += "x"
+
+
+def _corrupt(path) -> None:
+    """Truncate a store file in place: unreadable, and a different size."""
+    with open(path, "r+b") as handle:
+        handle.truncate(max(1, os.path.getsize(path) // 2))
+
+
+def _view(index) -> tuple:
+    """Everything a reader can observe through the public API."""
+    counts = {}
+    for scope in _SCOPES:
+        for cls in _CLASSES:
+            entry = index.counts_for(scope, cls, "c")
+            counts[(scope, cls)] = (
+                None if entry is None else (entry[0].tolist(), entry[1].tolist())
+            )
+    return (
+        counts,
+        {digest: index.outcome_for(digest) for digest in _DIGESTS},
+        {scope: index.detections_for(scope) for scope in _SCOPES},
+        index.scopes(),
+        index.stats(),
+    )
+
+
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["record", "record_many", "record_early",
+             "corrupt", "delete", "vacuum", "vacuum_other", "rewrite"]
+        ),
+        st.integers(min_value=0, max_value=999),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestIncrementalMerge:
+    @settings(max_examples=40, deadline=None)
+    @given(ops=_OPS)
+    def test_long_lived_handle_reads_what_a_fresh_handle_reads(self, ops):
+        with tempfile.TemporaryDirectory() as path:
+            index = RepositoryIndex(path)
+            other = RepositoryIndex(path)
+            for step, (op, arg) in enumerate(ops):
+                tag = step * 1000 + arg
+                files = _segments(path)
+                compacted = os.path.join(path, "compacted.bin")
+                if os.path.exists(compacted):
+                    files.insert(0, compacted)
+                if op == "record":
+                    _record(index, tag)
+                elif op == "record_many":
+                    for k in range(arg % 3 + 2):
+                        _record(other, tag + k)
+                elif op == "record_early":
+                    _record_early(other, tag)
+                elif op == "vacuum":
+                    index.vacuum()
+                elif op == "vacuum_other":
+                    other.vacuum()
+                elif files:
+                    target = files[arg % len(files)]
+                    if op == "corrupt":
+                        _corrupt(target)
+                    elif op == "delete":
+                        os.remove(target)
+                    else:
+                        _rewrite(target, tag)
+                assert _view(index) == _view(RepositoryIndex(path))
+
+    def test_threads_sharing_a_handle_fold_each_segment_once(self, tmp_path):
+        """Readers on several threads race appends into one handle's
+        in-place merge; every segment's counts must land exactly once."""
+        index = RepositoryIndex(str(tmp_path))
+        writer = RepositoryIndex(str(tmp_path))
+        n_segments = 30
+        done = threading.Event()
+        errors = []
+
+        def read():
+            try:
+                while not done.is_set():
+                    index.counts_for("s", "car", "c")
+                    index.detections_for("s")
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        readers = [threading.Thread(target=read) for _ in range(6)]
+        try:
+            for thread in readers:
+                thread.start()
+            for seg in range(n_segments):
+                writer.record_session(
+                    scope="s", class_name="car", chunk_sig="c", num_chunks=2,
+                    trace=_trace([0, 1]),
+                    # Fresh keys per segment: a fold grows the very dicts
+                    # concurrent readers iterate.
+                    detections={(seg, f, None): [f] for f in range(300)},
+                )
+        finally:
+            done.set()
+            for thread in readers:
+                thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers)
+        assert errors == []
+        n, _ = index.counts_for("s", "car", "c")
+        assert n.tolist() == [n_segments, n_segments]
+        assert len(index.detections_for("s")) == 300 * n_segments
+        assert index.stats() == RepositoryIndex(str(tmp_path)).stats()
+
+
+class TestDecodeCount:
+    """Which reads decode which files — deterministic, no timing."""
+
+    @pytest.fixture()
+    def decodes(self, monkeypatch):
+        calls = []
+        real = RepositoryIndex._read_envelope
+
+        def counting(path):
+            calls.append(path)
+            return real(path)
+
+        monkeypatch.setattr(
+            RepositoryIndex, "_read_envelope", staticmethod(counting)
+        )
+        return calls
+
+    @staticmethod
+    def _decoded_on_next_read(index, decodes) -> int:
+        decodes.clear()
+        index.outcome_for("q0")
+        return len(decodes)
+
+    def _warm(self, path, decodes, n=3):
+        index = RepositoryIndex(path)
+        for tag in range(n):
+            _record(index, tag)
+        assert self._decoded_on_next_read(index, decodes) == n
+        assert self._decoded_on_next_read(index, decodes) == 0
+        return index
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_appending_k_segments_decodes_k_files(self, tmp_path, decodes, k):
+        index = self._warm(str(tmp_path), decodes)
+        writer = RepositoryIndex(str(tmp_path))
+        for tag in range(k):
+            _record(writer, 10 + tag)
+        assert self._decoded_on_next_read(index, decodes) == k
+        assert self._decoded_on_next_read(index, decodes) == 0
+
+    def test_skipped_appended_file_is_counted_once(self, tmp_path, decodes):
+        index = self._warm(str(tmp_path), decodes)
+        garbage = f"seg-{time.time_ns():020d}-0-garbage.bin"
+        (tmp_path / "segments" / garbage).write_bytes(b"garbage")
+        assert self._decoded_on_next_read(index, decodes) == 1
+        _record(index, 7)
+        assert self._decoded_on_next_read(index, decodes) == 1
+        assert index.stats().skipped_files == 1
+
+    def test_out_of_order_name_decodes_every_file(self, tmp_path, decodes):
+        index = self._warm(str(tmp_path), decodes)
+        _record_early(index, 9)
+        assert self._decoded_on_next_read(index, decodes) == 4
+
+    def test_deleted_file_decodes_every_file(self, tmp_path, decodes):
+        index = self._warm(str(tmp_path), decodes, n=4)
+        os.remove(_segments(str(tmp_path))[1])
+        assert self._decoded_on_next_read(index, decodes) == 3
+
+    def test_rewritten_file_decodes_every_file(self, tmp_path, decodes):
+        index = self._warm(str(tmp_path), decodes)
+        _rewrite(_segments(str(tmp_path))[-1], 5)
+        assert self._decoded_on_next_read(index, decodes) == 3
+
+    def test_vacuum_decodes_every_file(self, tmp_path, decodes):
+        index = self._warm(str(tmp_path), decodes)
+        RepositoryIndex(str(tmp_path)).vacuum()
+        _record(index, 8)
+        _record(index, 9)
+        # compacted.bin now sorts first: the memo is no prefix of it.
+        assert self._decoded_on_next_read(index, decodes) == 3
+
+    def test_stats_lists_the_directory_once(self, tmp_path, monkeypatch):
+        index = RepositoryIndex(str(tmp_path))
+        _record(index, 0)
+        listings = []
+        real = os.listdir
+
+        def counting(path):
+            listings.append(path)
+            return real(path)
+
+        monkeypatch.setattr(os, "listdir", counting)
+        stats = index.stats()
+        assert len(listings) == 1
+        assert (stats.segment_files, stats.outcomes) == (1, 1)
+
+
+# ---------------------------------------------------------------------------
 # Engine integration: record, replay, warm-start.
 # ---------------------------------------------------------------------------
 
@@ -298,6 +576,66 @@ class TestEngineRecording:
             outcome = engine.run(QUERY, run_seed=0)
         assert outcome.num_results >= 4
         assert any("on_complete" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize("policy", ["unbounded", "lru", "shared"])
+    def test_recorded_rows_match_the_snapshot_harvest(
+        self, dataset, tmp_path, monkeypatch, policy
+    ):
+        """The recorder's per-frame harvest records exactly the rows the
+        former snapshot-then-filter harvest recorded: the trace's frames
+        under every class filter (unfiltered included), nothing from
+        another scope or from frames the query never sampled."""
+        if policy == "shared":
+            from repro.parallel.shm import SharedDetectionCache
+
+            cache = SharedDetectionCache()
+        else:
+            cache = DetectionCache(policy=policy, capacity=1 << 16)
+        engine = QueryEngine(
+            dataset, seed=6, index=str(tmp_path), detection_cache=cache
+        )
+        scope = engine.detector.cache_scope()
+        repo = dataset.repository
+        videos = [v for v in range(len(repo.videos))
+                  for _ in range(repo.videos[v].num_frames)]
+        frames = [f for v in range(len(repo.videos))
+                  for f in range(repo.videos[v].num_frames)]
+        engine.detector.detect_batch(videos, frames, class_filter=None)
+        engine.detector.detect_batch(videos, frames, class_filter="car")
+        for video, frame in zip(videos[::7], frames[::7]):
+            cache.put(("foreign-scope", video, frame, None), ["foreign"])
+        recorded = []
+        real = engine.index.record_session
+
+        def capture(**kwargs):
+            trace = kwargs["trace"]
+            vids, vframes = dataset.chunk_map.to_video_frame_batch(
+                trace.chunks, trace.frames
+            )
+            wanted = set(zip(vids.tolist(), vframes.tolist()))
+            reference = {
+                key[1:]: rows
+                for key, rows in cache.snapshot(scope).items()
+                if (key[1], key[2]) in wanted
+            }
+            recorded.append((kwargs["detections"], reference))
+            return real(**kwargs)
+
+        monkeypatch.setattr(engine.index, "record_session", capture)
+        try:
+            outcome = engine.run(QUERY, run_seed=0)
+        finally:
+            if policy == "shared":
+                cache.clear()
+        ((rows, reference),) = recorded
+        assert rows == reference
+        filters = {key[2] for key in rows}
+        assert filters == {None, "car", QUERY.class_name}
+        assert len(rows) == 3 * len(set(zip(
+            *dataset.chunk_map.to_video_frame_batch(
+                outcome.trace.chunks, outcome.trace.frames
+            )
+        )))
 
     def test_index_off_by_default(self, dataset):
         engine = QueryEngine(dataset, seed=6)
@@ -519,6 +857,21 @@ class TestFleetSharedIndex:
         assert all(s["state"] == "finished" for s in summaries)
         index = RepositoryIndex(str(tmp_path / "idx"))
         assert index.stats().outcomes == 3
+        # The shards recorded, through the fleet's shared cache, exactly
+        # the sampled frames' rows under the queried class.
+        reference = QueryEngine(dataset, seed=11, detection_cache="off")
+        expected = {}
+        for summary in summaries:
+            trace = outcome_of(summary).trace
+            videos, frames = dataset.chunk_map.to_video_frame_batch(
+                trace.chunks, trace.frames
+            )
+            for video, frame in zip(videos.tolist(), frames.tolist()):
+                expected[(video, frame, "car")] = reference.detector.detect(
+                    video, frame, class_filter="car"
+                )
+        scope = reference.detector.cache_scope()
+        assert index.detections_for(scope) == expected
         # Knowledge earned inside the fleet replays on a solo engine built
         # against the same dataset and engine seed.
         solo = QueryEngine(dataset, seed=11, index=str(tmp_path / "idx"))
